@@ -21,17 +21,29 @@ The site decomposition is what makes *incremental* validation possible:
 * :meth:`Pattern.site_dirty` decides whether a previously-checked site key
   must be retracted and re-examined under a scope.
 
-The contract between the three (relied on by
+* :meth:`Pattern.site_tokens` names what can dirty a stored site key —
+  the constraint labels, roles and object types (:data:`LABEL`,
+  :data:`ROLE`, :data:`TYPE` tokens) whose presence in a scope can make
+  ``site_dirty`` true.
+
+The contract between the four (relied on by
 :class:`repro.patterns.incremental.IncrementalEngine`) is:
 
-1. a site's verdict can only change when ``site_dirty`` says so, and
+1. a site's verdict can only change when ``site_dirty`` says so,
 2. every *existing* dirty site is enumerated by ``iter_sites`` under that
-   scope (vanished sites are covered by ``site_dirty`` returning True).
+   scope (vanished sites are covered by ``site_dirty`` returning True), and
+3. ``site_dirty(k) ⇒ site_tokens(k) ∩ scope tokens ≠ ∅``, where
+   ``site_tokens(k)`` is computed against the schema *as it was when k was
+   stored* and the scope tokens are
+   :meth:`repro.patterns.incremental.CheckScope.tokens`.  The engine
+   indexes stored keys by their tokens and asks ``site_dirty`` only about
+   index hits, so a token a site forgets to name is a finding that never
+   retracts.
 
 ``Pattern.check(schema)`` — the historical full-schema entry point — is the
 degenerate case ``scope=None`` and behaves exactly as before.
 
-The site triad is deliberately finding-type agnostic: the same interface
+The site methods are deliberately finding-type agnostic: the same interface
 drives the nine unsatisfiability patterns (findings are
 :class:`Violation`), the structural well-formedness advisories
 (:mod:`repro.patterns.advisories`, findings are
@@ -46,7 +58,7 @@ drain.
 from __future__ import annotations
 
 import abc
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -55,6 +67,14 @@ from repro.orm.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.patterns.incremental import CheckScope
+
+#: Dependency-token kinds: a token is ``(kind, name)`` naming a constraint
+#: label, a role or an object type (see :meth:`Pattern.site_tokens`).
+LABEL = "label"
+ROLE = "role"
+TYPE = "type"
+
+Token = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -99,9 +119,10 @@ class Pattern(abc.ABC):
     """Interface of one unsatisfiability-detection pattern.
 
     Subclasses set the three class attributes and implement the site
-    triad (:meth:`iter_sites` / :meth:`check_site` / :meth:`site_dirty`),
-    usually via one of the mixin bases below.  Patterns are stateless; a
-    single instance may be reused across schemas and threads.
+    methods (:meth:`iter_sites` / :meth:`check_site` / :meth:`site_dirty` /
+    :meth:`site_tokens`), usually via one of the mixin bases below.
+    Patterns are stateless; a single instance may be reused across schemas
+    and threads.
     """
 
     #: Stable identifier, e.g. ``"P4"``.
@@ -148,6 +169,14 @@ class Pattern(abc.ABC):
         """Must a previously-stored site key be retracted under ``scope``?
 
         True also when the site no longer exists in the schema.
+        """
+
+    @abc.abstractmethod
+    def site_tokens(self, key: Hashable, schema: Schema) -> Iterable[Token]:
+        """The tokens whose presence in a scope can dirty a stored site.
+
+        Called when the key is stored, against the schema of that moment
+        (the site exists then); contract rule 3 in the module docstring.
         """
 
     def _violation(
@@ -233,6 +262,18 @@ class ConstraintSitePattern(Pattern):
             return True
         return False
 
+    def site_tokens(self, key: Any, schema: Schema) -> Iterable[Token]:
+        constraint = schema.constraint_by_label(key)
+        tokens = {(LABEL, key)}
+        tokens.update((TYPE, name) for name in constraint.referenced_types())
+        if self.setcomp_sensitive:
+            tokens.update((ROLE, name) for name in constraint.referenced_roles())
+        if self.players_sensitive:
+            for role_name in constraint.referenced_roles():
+                for fact_role in schema.fact_type_of(role_name).roles:
+                    tokens.add((TYPE, fact_role.player))
+        return tokens
+
 
 class RingPairSitePattern(Pattern):
     """Base for patterns whose sites are ring-constrained role pairs."""
@@ -268,6 +309,12 @@ class RingPairSitePattern(Pattern):
             return True
         return False
 
+    def site_tokens(self, key: Any, schema: Schema) -> Iterable[Token]:
+        tokens = [(ROLE, role) for role in key]
+        if self.players_sensitive:
+            tokens.extend((TYPE, schema.role(role).player) for role in key)
+        return tokens
+
 
 class TypeSitePattern(Pattern):
     """Base for analyses whose sites are the object types themselves.
@@ -296,6 +343,9 @@ class TypeSitePattern(Pattern):
         if not isinstance(key, str) or not schema.has_object_type(key):
             return True  # site vanished; retract unconditionally
         return key in scope.graph_types or key in scope.member_types
+
+    def site_tokens(self, key: Any, schema: Schema) -> Iterable[Token]:
+        return ((TYPE, key),)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from __future__ import annotations
 from repro.orm.constraints import MandatoryConstraint
 from repro.orm.schema import Schema
 from repro.patterns.base import (
+    TYPE,
     ConstraintSitePattern,
     Pattern,
     RingPairSitePattern,
@@ -143,6 +144,9 @@ class EmptyValuePoolPattern(Pattern):
         if not schema.has_object_type(key):
             return True
         return key in scope.graph_types or key in scope.member_types
+
+    def site_tokens(self, key, schema: Schema):
+        return ((TYPE, key),)
 
     def check_site(self, schema: Schema, site) -> list[Violation]:
         doomed_types = tuple(schema.subtypes_and_self(site.name))

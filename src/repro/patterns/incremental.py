@@ -39,12 +39,25 @@ proportional to the **dirty neighborhood** of the edit instead:
     (:mod:`repro.patterns.advisories`), the formation rules
     (:mod:`repro.patterns.formation_rules`) and the propagation fixpoint
     (:mod:`repro.patterns.propagation`) — the findings of every **check
-    site** (see :mod:`repro.patterns.base`).  On
+    site** (see :mod:`repro.patterns.base`) in a :class:`SiteStore`.  On
     :meth:`IncrementalEngine.refresh` it retracts the stored verdicts of
     every dirty site (including sites that vanished — that is how
     finding *retraction* on deletion works) and merges in the freshly
     computed verdicts of the dirty sites that still exist, all from one
     journal drain.
+
+4.  Retraction never scans a store.  Each store indexes its keys by their
+    **dependency tokens** (:meth:`repro.patterns.base.Pattern.site_tokens`:
+    the labels, roles and types whose presence in a scope can dirty the
+    site), recorded when the key is stored.  The token contract —
+    ``site_dirty(k) ⇒ site_tokens(k) ∩ scope.tokens() ≠ ∅`` (rule 3 of
+    :mod:`repro.patterns.base`) — makes the index hits over the scope's
+    tokens (:meth:`CheckScope.tokens`) a superset of the dirty keys, and
+    ``site_dirty`` filters them exactly.  Each store also keeps its
+    findings sorted and re-sorts them only when they changed, so the
+    checks and the retraction of a refresh cost O(dirty sites), not
+    O(stored sites); only an analysis whose findings changed pays for a
+    sort of its own findings, and the report concatenates the batches.
 
 The merge is exact, not heuristic: for every edit script, the cumulative
 report of each family equals its from-scratch analysis
@@ -59,8 +72,9 @@ schema-insertion order.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, MutableMapping
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.orm.constraints import (
     AnyConstraint,
@@ -68,7 +82,7 @@ from repro.orm.constraints import (
     SubsetConstraint,
 )
 from repro.orm.schema import Schema, SchemaChange
-from repro.patterns.base import ValidationReport, Violation
+from repro.patterns.base import LABEL, ROLE, TYPE, Token, ValidationReport, Violation
 from repro.patterns.engine import PatternEngine
 from repro.setcomp import SetPathComponents, SetPathGraph
 
@@ -111,6 +125,7 @@ class CheckScope:
         self._candidates: list[AnyConstraint] | None = None
         self._setcomp_closure: frozenset[str] | None = None
         self._setpath_graph: SetPathGraph | None = None
+        self._tokens: frozenset[Token] | None = None
 
     @property
     def setcomp_dirty(self) -> bool:
@@ -147,6 +162,22 @@ class CheckScope:
                     self.setcomp_roles
                 )
         return self._setcomp_closure
+
+    def tokens(self, schema: Schema) -> frozenset[Token]:
+        """The dependency tokens this scope dirties (contract rule 3 of
+        :mod:`repro.patterns.base`): every dirty label, every dirty or
+        SetPath-dirty role (:meth:`setcomp_closure`) and every type in
+        ``graph_types`` or ``member_types``.  Cached per scope, so one
+        refresh builds it once for all analyses."""
+        if self._tokens is None:
+            roles = self.roles | self.setcomp_closure(schema)
+            types = self.graph_types | self.member_types
+            self._tokens = frozenset(
+                [(LABEL, label) for label in self.labels]
+                + [(ROLE, role) for role in roles]
+                + [(TYPE, name) for name in types]
+            )
+        return self._tokens
 
     def setpath_graph(self, schema: Schema) -> SetPathGraph:
         """The SetPath graph of the *current* schema, built lazily and at
@@ -322,16 +353,89 @@ def _vertical_closure(
 JOURNAL_COMPACT_THRESHOLD = 128
 
 
+def _violation_order(violation: Violation) -> tuple:
+    return (violation.types, violation.roles, violation.constraints, violation.message)
+
+
+def _finding_order(finding) -> tuple:
+    return (finding.elements, finding.message)
+
+
+class SiteStore:
+    """One analysis's stored sites, indexed by what can dirty them.
+
+    ``findings`` maps each stored site key to its (non-empty) findings.
+    ``index`` is the inverted dependency index token → keys, filled from
+    :meth:`repro.patterns.base.Pattern.site_tokens` when a key is stored —
+    against the schema *of that moment*, because a site whose elements
+    were removed since can no longer name its tokens.  ``tokens`` remembers
+    each key's tokens so retraction prunes exactly them, keeping the index
+    bounded by the number of stored sites.  ``batch`` is the analysis's
+    findings in canonical order, re-sorted only when they changed.
+    """
+
+    __slots__ = ("findings", "tokens", "index", "batch")
+
+    def __init__(self) -> None:
+        self.findings: dict[Hashable, tuple] = {}
+        self.tokens: dict[Hashable, frozenset[Token]] = {}
+        self.index: dict[Token, set[Hashable]] = {}
+        self.batch: list = []
+
+    def __len__(self) -> int:
+        return len(self.findings)
+
+    def put(self, key: Hashable, findings: tuple, tokens: Iterable[Token]) -> None:
+        """Store (or replace) one site's findings under its tokens."""
+        if key in self.findings:
+            self.retract(key)
+        self.findings[key] = findings
+        self.tokens[key] = key_tokens = frozenset(tokens)
+        for token in key_tokens:
+            self.index.setdefault(token, set()).add(key)
+
+    def retract(self, key: Hashable) -> tuple:
+        """Drop one stored site and its index entries; returns its findings."""
+        for token in self.tokens.pop(key):
+            keys = self.index[token]
+            keys.discard(key)
+            if not keys:
+                del self.index[token]
+        return self.findings.pop(key)
+
+    def hits(self, tokens: frozenset[Token]) -> set[Hashable]:
+        """Every stored key indexed under any of ``tokens``."""
+        found: set[Hashable] = set()
+        if len(self.index) < len(tokens):
+            for token, keys in self.index.items():
+                if token in tokens:
+                    found |= keys
+        else:
+            for token in tokens:
+                keys = self.index.get(token)
+                if keys:
+                    found |= keys
+        return found
+
+    def sort(self, order: Callable) -> None:
+        """Rebuild the canonical finding batch."""
+        self.batch = sorted(chain.from_iterable(self.findings.values()), key=order)
+
+
 @dataclass
 class EngineSnapshot:
-    """A suspended :class:`IncrementalEngine`: per-site finding stores plus
-    the journal mark they are valid at.
+    """A suspended :class:`IncrementalEngine`: per-analysis site stores
+    (findings, dependency index and sorted batches) plus the journal mark
+    they are valid at.
 
     Produced by :meth:`IncrementalEngine.suspend` and consumed by
     :meth:`IncrementalEngine.resume`.  The snapshot *owns* the site stores
     (the engine hands them over rather than copying), so drop the engine
-    after suspending it.  A snapshot stays resumable for as long as the
-    schema's journal retains the entries after ``mark`` — the suspended
+    after suspending it.  The stores keep the tokens their keys were
+    indexed under: resuming never recomputes tokens, because the head
+    schema may have removed elements a stored site names.  A snapshot
+    stays resumable for as long as the schema's journal retains the
+    entries after ``mark`` — the suspended
     engine no longer pins the journal (its weak consumer registration dies
     with it), so the replay window is only guaranteed while no *other*
     consumer triggers :meth:`repro.orm.schema.Schema.compact_journal` past
@@ -341,7 +445,7 @@ class EngineSnapshot:
     """
 
     mark: int
-    sites: dict[str, MutableMapping]
+    sites: dict[str, SiteStore]
     enabled_ids: tuple[str, ...]
     advisories: bool
     formation_rules: bool
@@ -354,8 +458,8 @@ class IncrementalEngine:
     Attach it to a live :class:`Schema`; the constructor performs one full
     check, and every :meth:`refresh` afterwards only re-examines the check
     sites dirtied by the schema mutations since the previous call, merging
-    scoped verdicts into persistent per-site finding stores (retracting the
-    verdicts of sites that were touched or deleted).
+    scoped verdicts into persistent per-analysis :class:`SiteStore`\\ s
+    (retracting the verdicts of sites that were touched or deleted).
 
     One engine drives up to four **analysis families** from a single
     journal drain:
@@ -378,17 +482,11 @@ class IncrementalEngine:
     after each drain, so long-lived sessions do not accumulate unbounded
     journals.
 
-    Two hooks serve multi-session deployments
-    (:class:`repro.server.ValidationService`):
-
-    * ``store_factory`` chooses the mapping type backing each per-site
-      finding store — e.g. :class:`repro.server.ShardedSiteStore`, which
-      partitions sites by a stable site-key hash so shard refreshes of
-      disjoint shards are independent units of work;
-    * :meth:`suspend` / :meth:`resume` park an idle engine as an
-      :class:`EngineSnapshot` and later resurrect it by replaying only the
-      journal-checkpoint window since its mark (LRU eviction of idle
-      engines without losing incrementality).
+    :meth:`suspend` / :meth:`resume` serve multi-session deployments
+    (:class:`repro.server.ValidationService`): they park an idle engine as
+    an :class:`EngineSnapshot` and later resurrect it by replaying only the
+    journal-checkpoint window since its mark (LRU eviction of idle engines
+    without losing incrementality).
     """
 
     def __init__(
@@ -400,7 +498,6 @@ class IncrementalEngine:
         advisories: bool = False,
         formation_rules: bool = False,
         propagation: bool = False,
-        store_factory: Callable[[], MutableMapping] | None = None,
         _resume_from: EngineSnapshot | None = None,
     ) -> None:
         from repro.patterns.advisories import WELLFORMED_CHECKS
@@ -412,18 +509,26 @@ class IncrementalEngine:
         self._patterns = self._engine.enabled_patterns()
         self._advisory_checks = WELLFORMED_CHECKS if advisories else ()
         self._rule_checks = FORMATION_CHECKS if formation_rules else ()
-        self._store_factory: Callable[[], MutableMapping] = store_factory or dict
+        self._order: dict[str, Callable] = {
+            **{check.pattern_id: _violation_order for check in self._patterns},
+            **{
+                check.pattern_id: _finding_order
+                for check in (*self._advisory_checks, *self._rule_checks)
+            },
+        }
         self._wants_propagation = propagation
         self._propagator = None
-        self._sites: dict[str, MutableMapping] = {}
+        self._sites: dict[str, SiteStore] = {}
         if _resume_from is not None:
             self._resume_from_snapshot(_resume_from)
             return
         self._mark = schema.journal_size
         started = time.perf_counter()
         for check in self._analyses():
-            store = self._store_factory()
-            store.update(check.check_scoped(schema, None))
+            store = SiteStore()
+            for key, findings in check.check_scoped(schema, None).items():
+                store.put(key, findings, check.site_tokens(key, schema))
+            store.sort(self._order[check.pattern_id])
             self._sites[check.pattern_id] = store
         self._build_outputs(time.perf_counter() - started)
         if propagation:
@@ -474,13 +579,7 @@ class IncrementalEngine:
         )
 
     @classmethod
-    def resume(
-        cls,
-        schema: Schema,
-        snapshot: EngineSnapshot,
-        *,
-        store_factory: Callable[[], MutableMapping] | None = None,
-    ) -> "IncrementalEngine":
+    def resume(cls, schema: Schema, snapshot: EngineSnapshot) -> "IncrementalEngine":
         """Resurrect a suspended engine on its schema.
 
         Replays exactly the journal entries recorded since the snapshot's
@@ -495,7 +594,6 @@ class IncrementalEngine:
             advisories=snapshot.advisories,
             formation_rules=snapshot.formation_rules,
             propagation=snapshot.propagation,
-            store_factory=store_factory,
             _resume_from=snapshot,
         )
 
@@ -534,21 +632,23 @@ class IncrementalEngine:
             return None
         return self._propagator.result()
 
-    def refresh(self, *, executor=None) -> ValidationReport:
+    def refresh(self) -> ValidationReport:
         """Consume the schema changes since the last call and re-validate.
 
-        Cost is proportional to the dirty neighborhood of those changes,
-        not to the schema size, for every enabled analysis family.
+        Cost follows the dirty neighborhood of those changes, not the
+        schema size or the number of stored sites, for every enabled
+        analysis family:
 
-        With ``executor`` (a :class:`concurrent.futures.Executor`) the
-        per-analysis scoped refreshes fan out as independent tasks instead
-        of running on the calling thread: every analysis owns its own
-        finding store, reads the schema without mutating it, and retracts/
-        merges shard by shard when the store is sharded, so the units never
-        share mutable state.  The caller must still serialize ``refresh``
-        with schema edits (the service holds the session lock for the whole
-        call); the executor must be a *different* pool from the one the
-        caller runs on, or a saturated pool deadlocks on its own subtasks.
+        * the scoped checks visit only the sites the change scope dirties;
+        * retraction asks ``site_dirty`` only about the stored keys the
+          store's dependency index files under one of the scope's tokens
+          (:meth:`CheckScope.tokens`, contract rule 3 of
+          :mod:`repro.patterns.base`) — ``site_dirty`` stays the exact
+          predicate, the index only narrows which keys it is asked about;
+        * an analysis re-sorts its finding batch only when its findings
+          changed, and the outputs concatenate the sorted batches.
+
+        The caller must serialize ``refresh`` with schema edits.
         """
         started = time.perf_counter()
         # repro-lint: disable=RL004 -- cannot truncate under us: this engine is an attached consumer, so compaction never drops past our own journal_mark
@@ -560,39 +660,31 @@ class IncrementalEngine:
         scope = scope_from_changes(self.schema, changes)
         if scope.is_empty:
             return self._report
-        analyses = self._analyses()
-        if executor is None or len(analyses) <= 1:
-            for check in analyses:
-                self._refresh_analysis(check, scope)
-        else:
-            # Prime the scope's lazily-built shared caches once, on this
-            # thread, so the fanned-out tasks only ever read them.  The
-            # SetPath graph is primed unconditionally: P6/S1-S3 consult it
-            # whenever they have in-scope sites, setcomp-dirty or not.
-            scope.candidate_constraints(self.schema)
-            scope.setcomp_closure(self.schema)
-            scope.setpath_graph(self.schema)
-            list(
-                executor.map(
-                    lambda check: self._refresh_analysis(check, scope), analyses
-                )
-            )
+        for check in self._analyses():
+            self._refresh_analysis(check, scope)
         self._build_outputs(time.perf_counter() - started)
         if self._propagator is not None:
             self._propagator.refresh(scope, self._report)
         return self._report
 
+    def _dirty_keys(self, check, scope: CheckScope) -> list[Hashable]:
+        """The stored keys of one analysis to retract under ``scope``:
+        dependency-index hits over the scope's tokens, filtered by the
+        exact ``site_dirty``."""
+        hits = self._sites[check.pattern_id].hits(scope.tokens(self.schema))
+        return [key for key in hits if check.site_dirty(key, scope, self.schema)]
+
     def _refresh_analysis(self, check, scope: CheckScope) -> None:
-        """One analysis's scoped refresh: recompute the dirty sites, then
-        retract and merge — shard by shard when the store is sharded (the
-        independent unit of a sharded deployment)."""
-        stored = self._sites[check.pattern_id]
+        """One analysis's scoped refresh: recompute the dirty sites, retract
+        the dirty stored ones, store the fresh verdicts, and re-sort the
+        batch only if the stored findings actually changed."""
+        store = self._sites[check.pattern_id]
         fresh = check.check_scoped(self.schema, scope)
-        shards = stored.shards() if hasattr(stored, "shards") else (stored,)
-        for shard in shards:
-            for key in [k for k in shard if check.site_dirty(k, scope, self.schema)]:
-                del shard[key]
-        stored.update(fresh)
+        retracted = {key: store.retract(key) for key in self._dirty_keys(check, scope)}
+        for key, findings in fresh.items():
+            store.put(key, findings, check.site_tokens(key, self.schema))
+        if retracted != fresh:
+            store.sort(self._order[check.pattern_id])
 
     def site_count(self) -> int:
         """The engine's *weight* for capacity accounting: the size of its
@@ -616,35 +708,21 @@ class IncrementalEngine:
             )
         return self.refresh()
 
-    def _collect(self, checks, sort_key) -> list:
-        findings = []
-        for check in checks:
-            batch = [
-                finding
-                for site_findings in self._sites[check.pattern_id].values()
-                for finding in site_findings
-            ]
-            batch.sort(key=sort_key)
-            findings.extend(batch)
-        return findings
+    def _collect(self, checks) -> list:
+        return list(
+            chain.from_iterable(self._sites[check.pattern_id].batch for check in checks)
+        )
 
     def _build_outputs(self, elapsed: float) -> None:
-        violations: list[Violation] = self._collect(
-            self._patterns,
-            lambda v: (v.types, v.roles, v.constraints, v.message),
-        )
+        violations: list[Violation] = self._collect(self._patterns)
         self._report = ValidationReport(
             schema_name=self.schema.metadata.name,
             violations=violations,
             patterns_run=self._engine.enabled_ids,
             elapsed_seconds=elapsed,
         )
-        self._advisories = self._collect(
-            self._advisory_checks, lambda a: (a.elements, a.message)
-        )
-        self._rule_findings = self._collect(
-            self._rule_checks, lambda f: (f.elements, f.message)
-        )
+        self._advisories = self._collect(self._advisory_checks)
+        self._rule_findings = self._collect(self._rule_checks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

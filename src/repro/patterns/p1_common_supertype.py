@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro._util import comma_join, stable_sorted_names
 from repro.orm.schema import Schema
-from repro.patterns.base import Pattern, Violation
+from repro.patterns.base import TYPE, Pattern, Violation
 
 
 class TopCommonSupertypePattern(Pattern):
@@ -50,6 +50,9 @@ class TopCommonSupertypePattern(Pattern):
 
     def site_dirty(self, key, scope, schema: Schema) -> bool:
         return key in scope.graph_types or not schema.has_object_type(key)
+
+    def site_tokens(self, key, schema: Schema):
+        return ((TYPE, key),)
 
     def check_site(self, schema: Schema, site: str) -> list[Violation]:
         direct_supers = schema.direct_supertypes(site)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro._util import comma_join, stable_sorted_names
 from repro.orm.schema import Schema
-from repro.patterns.base import Pattern
+from repro.patterns.base import TYPE, Pattern
 
 
 class SubtypeLoopPattern(Pattern):
@@ -81,3 +81,6 @@ class SubtypeLoopPattern(Pattern):
         if any(not schema.has_object_type(name) for name in members):
             return True
         return any(name in scope.graph_types for name in members)
+
+    def site_tokens(self, key, schema: Schema):
+        return [(TYPE, name) for name in key]

@@ -81,6 +81,20 @@ def _decode_session_dir(dir_name: str) -> str:
     return bytes.fromhex(dir_name).decode("utf-8")
 
 
+def _fsync_dir(directory: Path) -> None:
+    """fsync a directory, making the entries that name its files durable.
+
+    A file's own fsync covers its data, not the directory entry that names
+    it: after a power loss a freshly created segment (or session
+    directory) could vanish, and an unlinked one reappear.
+    """
+    fd = os.open(directory, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _frame(record: dict[str, Any]) -> bytes:
     payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
@@ -150,6 +164,7 @@ class SessionLog:
     def __init__(self, directory: Path, session_name: str) -> None:
         self._directory = directory
         self._name = session_name
+        created = not self._directory.is_dir()
         self._directory.mkdir(parents=True, exist_ok=True)
         existing = sorted(self._directory.glob(f"*{_SEGMENT_SUFFIX}"))
         if existing:
@@ -158,6 +173,9 @@ class SessionLog:
         else:
             self._segment_index = 1
             self._handle = open(self._segment_path(1), "ab")
+            _fsync_dir(self._directory)  # the first segment's entry
+        if created:
+            _fsync_dir(self._directory.parent)  # the session directory's entry
 
     @property
     def name(self) -> str:
@@ -219,8 +237,9 @@ class SessionLog:
     def compact(self, snapshot_payload: dict[str, Any]) -> None:
         """Start a fresh segment from a snapshot record, drop old segments.
 
-        The new segment is durable before any old segment is removed, so a
-        crash at any point leaves at least one decodable baseline.
+        The new segment — its data *and* its directory entry — is durable
+        before any old segment is removed, so a crash or power loss at any
+        point leaves at least one decodable baseline.
         """
         next_index = self._segment_index + 1
         path = self._segment_path(next_index)
@@ -229,6 +248,7 @@ class SessionLog:
             _write_frame(handle, _frame({"kind": KIND_SNAPSHOT, **snapshot_payload}))
             handle.flush()
             os.fsync(handle.fileno())
+            _fsync_dir(self._directory)
         except OSError as exc:
             handle.close()
             path.unlink(missing_ok=True)
@@ -238,6 +258,7 @@ class SessionLog:
         old_handle.close()
         for index in range(1, old_index + 1):
             self._segment_path(index).unlink(missing_ok=True)
+        _fsync_dir(self._directory)
 
     def close(self) -> None:
         self._handle.close()
@@ -245,13 +266,20 @@ class SessionLog:
     def delete(self) -> None:
         """Remove the whole session directory (session closed cleanly)."""
         self._handle.close()
-        for path in self._directory.glob(f"*{_SEGMENT_SUFFIX}"):
-            path.unlink(missing_ok=True)
-        try:
-            self._directory.rmdir()
-        except OSError:
-            # A non-segment stray keeps the dir; recovery ignores it.
-            pass
+        _remove_session_dir(self._directory)
+
+
+def _remove_session_dir(directory: Path) -> None:
+    """Unlink a session's segments and its directory, durably."""
+    for path in directory.glob(f"*{_SEGMENT_SUFFIX}"):
+        path.unlink(missing_ok=True)
+    try:
+        directory.rmdir()
+    except OSError:
+        # A non-segment stray keeps the dir; recovery ignores it.
+        _fsync_dir(directory)
+    else:
+        _fsync_dir(directory.parent)
 
 
 class LogStore:
@@ -272,14 +300,8 @@ class LogStore:
     def discard(self, session_name: str) -> None:
         """Drop a session's log without needing an open handle."""
         directory = self._root / _encode_session_dir(session_name)
-        if not directory.is_dir():
-            return
-        for path in directory.glob(f"*{_SEGMENT_SUFFIX}"):
-            path.unlink(missing_ok=True)
-        try:
-            directory.rmdir()
-        except OSError:
-            pass
+        if directory.is_dir():
+            _remove_session_dir(directory)
 
     def recover(self) -> RecoveryReport:
         """Reconstruct every session from its segments: snapshot + deltas.

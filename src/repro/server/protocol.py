@@ -44,6 +44,7 @@ a whole schema in the open call instead of replaying it as edits.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -53,6 +54,8 @@ from repro.exceptions import ReproError
 # (one shape for --format json and the wire; one renderer for the local
 # and the remote CLI) and re-exported here as part of the protocol surface.
 from repro.tool.validator import (  # noqa: F401  (re-exports)
+    EncodedPayload,
+    ReportPayloadCache,
     ValidatorSettings,
     render_report_payload,
     report_to_payload,
@@ -60,6 +63,19 @@ from repro.tool.validator import (  # noqa: F401  (re-exports)
 
 #: A decoded JSON object, as every wire body is.
 Payload = dict[str, Any]
+
+
+def encode_payload(payload: Payload) -> bytes:
+    """The UTF-8 JSON body of one response: ``json.dumps(payload)``, except
+    that a top-level :class:`EncodedPayload` value (a report built through
+    a :class:`ReportPayloadCache`) is spliced in as its own text."""
+    fields = (
+        f"{json.dumps(key)}: "
+        f"{value.text if isinstance(value, EncodedPayload) else json.dumps(value)}"
+        for key, value in payload.items()
+    )
+    return ("{" + ", ".join(fields) + "}").encode("utf-8")
+
 
 #: A reasoning goal: one of the well-known strings, or ``(kind, name)`` /
 #: ``("roles", (name, ...))`` targeting specific schema elements.

@@ -145,10 +145,17 @@ class LocalBackend:
     and every :mod:`repro.server.workers` worker subprocess runs one over
     its own service, the router forwarding the identical payloads over a
     pipe.
+
+    Each open session keeps a :class:`~repro.server.protocol.ReportPayloadCache`:
+    a report after a local edit rebuilds and re-encodes only the findings
+    that changed, and :func:`~repro.server.protocol.encode_payload` splices
+    the cached JSON text into the response body.
     """
 
     def __init__(self, service: ValidationService) -> None:
         self._service = service
+        # One report payload cache per open session (see _report).
+        self._report_caches: dict[str, protocol.ReportPayloadCache] = {}
 
     @property
     def service(self) -> ValidationService:
@@ -183,6 +190,12 @@ class LocalBackend:
     def shutdown(self) -> None:
         self._service.shutdown()
 
+    def forget(self, session: str) -> None:
+        """Drop a session without a final report (a worker's post-migration
+        discard)."""
+        self._report_caches.pop(session, None)
+        self._service.forget(session)
+
     # -- verb handlers (blocking) -----------------------------------------
 
     def _open(self, payload: Payload) -> Payload:
@@ -200,6 +213,7 @@ class LocalBackend:
             handle = self._service.open(request.session, settings=settings, schema=schema)
         except ValueError as error:
             raise WireError(SESSION_EXISTS, str(error)) from None
+        self._report_caches.pop(request.session, None)
         return {
             "ok": True,
             "session": handle.name,
@@ -232,9 +246,14 @@ class LocalBackend:
             raise _session_or_verb_error(error) from None
         if report is None:  # ETag hit: nothing changed since if_mark
             return {"ok": True, "unchanged": True, "mark": mark}
+        # Successive reports of a session share most findings: the cache
+        # reuses their items and JSON text (encode_payload splices it).
+        cache = self._report_caches.setdefault(
+            request.session, protocol.ReportPayloadCache()
+        )
         return {
             "ok": True,
-            "report": protocol.report_to_payload(report),
+            "report": protocol.report_to_payload(report, cache),
             "mark": mark,
         }
 
@@ -262,6 +281,7 @@ class LocalBackend:
             report = self._service.close(request.session)
         except UnknownElementError as error:
             raise _session_or_verb_error(error) from None
+        self._report_caches.pop(request.session, None)
         return {"ok": True, "report": protocol.report_to_payload(report)}
 
     def _drain(self, payload: Payload) -> Payload:
@@ -589,7 +609,7 @@ class WireServer:
         *,
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = protocol.encode_payload(payload)
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
             f"Content-Type: application/json\r\n"

@@ -1,10 +1,10 @@
 """Multi-process shard workers behind the wire protocol.
 
 The single-process wire front (:mod:`repro.server.wire`) tops out at one
-GIL: every session's drain and shard refresh competes for the same
-interpreter no matter how many threads the service owns.  The CRC32 site
-placement of :mod:`repro.server.sharding` is *process-stable by design*,
-and this module cashes that in: a **router** (:class:`WorkerPool`) owns N
+GIL: every session's drain and refresh competes for the same
+interpreter no matter how many threads the service owns.  Processes are
+the scaling unit, and this module provides them: a **router**
+(:class:`WorkerPool`) owns N
 **worker subprocesses**, each running a full
 :class:`~repro.server.service.ValidationService`, and forwards every
 ``open/edit/report/check/close/drain`` to the worker that owns the
@@ -210,7 +210,7 @@ def _worker_main(conn: Connection, config: dict[str, Any]) -> None:
                 INTERNAL_ERROR, f"{type(error).__name__}: {error}"
             ).to_payload()
         try:
-            conn.send_bytes(json.dumps(response).encode("utf-8"))
+            conn.send_bytes(protocol.encode_payload(response))
         except (BrokenPipeError, OSError):
             break
     service.shutdown()
@@ -238,7 +238,7 @@ def _worker_dispatch(
         from repro.exceptions import UnknownElementError
 
         try:
-            service.forget(name)
+            backend.forget(name)
         except UnknownElementError as error:
             raise WireError(UNKNOWN_SESSION, str(error)) from None
         return {"ok": True, "session": name}
@@ -499,8 +499,7 @@ class WorkerPool:
         loses sessions).
     **service_kwargs:
         Forwarded to each worker's :class:`ValidationService`
-        (``max_workers``, ``max_live_engines``, ``max_live_sites``,
-        ``store_shards``).
+        (``max_workers``, ``max_live_engines``, ``max_live_sites``).
     """
 
     def __init__(

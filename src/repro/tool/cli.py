@@ -460,7 +460,7 @@ def _run_serve(argv: list[str]) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="drain/refresh pool width per service (0 = inline drains)",
+        help="drain pool width per service (0 = inline drains)",
     )
     parser.add_argument(
         "--max-live-engines", type=int, default=16, help="live-engine count cap"

@@ -22,12 +22,13 @@ public settings toggle.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 
 from repro.orm.schema import Schema
 from repro.orm.wellformed import Advisory, check_wellformedness
-from repro.patterns.base import ValidationReport
+from repro.patterns.base import ValidationReport, Violation
 from repro.patterns.engine import ALL_IDS, PATTERN_IDS, PatternEngine, pattern_by_id
 from repro.patterns.formation_rules import RuleFinding, check_formation_rules
 from repro.patterns.incremental import IncrementalEngine
@@ -120,38 +121,42 @@ class ToolReport:
         )
 
 
-def report_to_payload(report: ToolReport) -> dict:
-    """Serialize a :class:`ToolReport` to its machine-readable JSON shape.
+def _violation_payload(violation: Violation) -> dict:
+    return {
+        "pattern": violation.pattern_id,
+        "message": violation.message,
+        "roles": list(violation.roles),
+        "types": list(violation.types),
+        "constraints": list(violation.constraints),
+    }
 
-    This one shape is shared by the CLI's ``--format json`` output and the
-    wire protocol (:mod:`repro.server.protocol` re-exports it) — local and
-    remote reports are byte-comparable.
-    """
+
+def _advisory_payload(advisory: Advisory) -> dict:
+    return {"code": advisory.code, "message": advisory.message}
+
+
+def _rule_finding_payload(finding: RuleFinding) -> dict:
+    return {
+        "rule": finding.rule_id,
+        "relevant": finding.relevant,
+        "message": finding.message,
+    }
+
+
+def _items_payload(findings, item_payload) -> list[dict]:
+    return [item_payload(finding) for finding in findings]
+
+
+def _assemble_payload(report: ToolReport, items) -> dict:
+    """The report shape, with ``items(findings, item_payload)`` deciding how
+    the finding lists are built (fresh, or reused by a
+    :class:`ReportPayloadCache`)."""
     payload = {
         "schema": report.schema_name,
         "satisfiable_by_patterns": report.ok,
-        "violations": [
-            {
-                "pattern": violation.pattern_id,
-                "message": violation.message,
-                "roles": list(violation.roles),
-                "types": list(violation.types),
-                "constraints": list(violation.constraints),
-            }
-            for violation in report.pattern_report.violations
-        ],
-        "advisories": [
-            {"code": advisory.code, "message": advisory.message}
-            for advisory in report.advisories
-        ],
-        "formation_rules": [
-            {
-                "rule": finding.rule_id,
-                "relevant": finding.relevant,
-                "message": finding.message,
-            }
-            for finding in report.rule_findings
-        ],
+        "violations": items(report.pattern_report.violations, _violation_payload),
+        "advisories": items(report.advisories, _advisory_payload),
+        "formation_rules": items(report.rule_findings, _rule_finding_payload),
     }
     if report.propagation is not None:
         propagation = report.propagation
@@ -166,6 +171,84 @@ def report_to_payload(report: ToolReport) -> dict:
             ],
         }
     return payload
+
+
+def report_to_payload(
+    report: ToolReport, cache: ReportPayloadCache | None = None
+) -> dict:
+    """Serialize a :class:`ToolReport` to its machine-readable JSON shape.
+
+    This one shape is shared by the CLI's ``--format json`` output and the
+    wire protocol (:mod:`repro.server.protocol` re-exports it) — local and
+    remote reports are byte-comparable.  With ``cache`` (one per session)
+    the result is an :class:`EncodedPayload` that also carries its JSON
+    text, built from the previous report's items wherever a finding is
+    unchanged.
+    """
+    if cache is not None:
+        return cache.payload(report)
+    return _assemble_payload(report, _items_payload)
+
+
+class EncodedPayload(dict):
+    """A payload dict that carries its own JSON text: ``text`` equals
+    ``json.dumps(self)``.  Encoders splice the text in instead of walking
+    the dict (see :func:`repro.server.protocol.encode_payload`); the dict
+    must not be mutated."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, payload: dict, text: str) -> None:
+        super().__init__(payload)
+        self.text = text
+
+
+class ReportPayloadCache:
+    """The items of one session's previous report payload, for reuse.
+
+    After a local edit almost every finding of the next report is the very
+    object of the report before: the engine keeps an unchanged site's
+    findings, and findings are frozen.  The cache keeps each finding of the
+    last payload with its item dict and item JSON text, keyed by object
+    identity (the entry holds the finding, so its id cannot be reused), and
+    builds items only for findings it has not seen.  A payload then costs
+    O(findings) lookups plus the new findings' encoding, not a full build
+    and ``json.dumps`` of the report.
+
+    The item dicts are shared between successive payloads, so payloads
+    built through a cache are read-only.  No lock is needed: a payload is
+    computed from the entries it reads, and concurrent callers only race
+    on which of their entry maps the next call starts from.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[int, tuple[object, dict, str]] = {}
+
+    def payload(self, report: ToolReport) -> EncodedPayload:
+        previous = self._entries
+        current: dict[int, tuple[object, dict, str]] = {}
+        texts: dict[int, str] = {}
+
+        def items(findings, item_payload) -> list[dict]:
+            dicts, parts = [], []
+            for finding in findings:
+                entry = previous.get(id(finding))
+                if entry is None:
+                    item = item_payload(finding)
+                    entry = (finding, item, json.dumps(item))
+                current[id(finding)] = entry
+                dicts.append(entry[1])
+                parts.append(entry[2])
+            texts[id(dicts)] = "[" + ", ".join(parts) + "]"
+            return dicts
+
+        payload = _assemble_payload(report, items)
+        self._entries = current
+        fields = []
+        for key, value in payload.items():
+            text = texts.get(id(value))
+            fields.append(f"{json.dumps(key)}: {json.dumps(value) if text is None else text}")
+        return EncodedPayload(payload, "{" + ", ".join(fields) + "}")
 
 
 def render_report_payload(payload: dict) -> str:

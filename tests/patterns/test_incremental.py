@@ -12,6 +12,7 @@ anchor elements were touched or deleted.
 """
 
 import gc
+import itertools
 import random
 from collections import Counter
 
@@ -23,10 +24,13 @@ from repro.orm.wellformed import check_wellformedness
 from repro.patterns import IncrementalEngine, PatternEngine, check_formation_rules
 from repro.patterns.propagation import propagate
 from repro.workloads.figures import build_figure
+from repro.tool.validator import ValidatorSettings, reference_validate, report_from_engine
 from repro.workloads.generator import (
     GeneratorConfig,
     apply_random_edit,
+    generate_faulty_schema,
     generate_schema,
+    inject_fault,
     random_edit_script,
 )
 
@@ -419,3 +423,186 @@ class TestJournalCheckpoint:
             reference = full.check(schema)
             assert_reports_match(report, reference, f"batch {batch}")
             assert_families_match(engine, schema, reference, f"batch {batch}")
+
+
+#: Every site-based analysis the engine can maintain: the nine patterns,
+#: the extensions, the advisories and the formation/RIDL rules.
+EVERY_ANALYSIS = (
+    *(f"P{index}" for index in range(1, 10)),
+    "X1", "X2", "X3",
+    *(f"W0{index}" for index in range(1, 8)),
+    *(f"FR{index}" for index in range(1, 8)),
+    "S1", "S2", "S3",
+)
+PAPER_PATTERNS = tuple(f"P{index}" for index in range(1, 10))
+EVERYTHING = ValidatorSettings(formation_rules=True, propagation=True)
+EVERYTHING.enable_extensions()
+
+
+def plant_rare_sites(schema, serial):
+    """Add, under fresh names, what random scripts seldom build: an X3
+    disjunctive mandatory whose every branch is excluded with a mandatory
+    role, a subset loop (S2) that implies an equality (S3), an empty value
+    pool (X2, W01), an FC(1-1) (FR1) and a spanned uniqueness (FR4)."""
+    name = f"Z{serial}_"
+    player, other = f"{name}P", f"{name}Q"
+    schema.add_entity_type(player)
+    schema.add_entity_type(other)
+    schema.add_entity_type(f"{name}E", values=[])
+    for role, partner in (("b1", other), ("b2", other), ("m", other), ("e", f"{name}E")):
+        schema.add_fact_type(
+            f"{name}{role}f", f"{name}{role}", player, f"{name}{role}q", partner
+        )
+    schema.add_frequency(f"{name}e", 1, 1)
+    schema.add_uniqueness(f"{name}b1")
+    schema.add_uniqueness(f"{name}b1", f"{name}b1q")
+    schema.add_mandatory(f"{name}m")
+    schema.add_mandatory(f"{name}b1", f"{name}b2")
+    schema.add_exclusion(f"{name}b1", f"{name}m")
+    schema.add_exclusion(f"{name}b2", f"{name}m")
+    schema.add_subset(f"{name}b1q", f"{name}b2q")
+    schema.add_subset(f"{name}b2q", f"{name}b1q")
+    schema.add_equality(f"{name}b1q", f"{name}b2q")
+
+
+def faulty_schema(seed):
+    schema, _ = generate_faulty_schema(
+        GeneratorConfig(num_types=6, num_facts=5, seed=seed), PAPER_PATTERNS
+    )
+    plant_rare_sites(schema, 0)
+    return schema
+
+
+def settings_engine(schema, settings):
+    """An engine over exactly the families ``settings`` enables."""
+    return IncrementalEngine(
+        schema,
+        enabled=tuple(settings.enabled_ids()),
+        advisories=settings.wellformedness,
+        formation_rules=settings.formation_rules,
+        propagation=settings.propagation,
+    )
+
+
+def assert_tool_reports_match(report, reference, context=""):
+    assert Counter(report.pattern_report.violations) == Counter(
+        reference.pattern_report.violations
+    ), context
+    assert Counter(report.advisories) == Counter(reference.advisories), context
+    assert Counter(report.rule_findings) == Counter(reference.rule_findings), context
+    assert (
+        report.propagation.all_unsat_roles() == reference.propagation.all_unsat_roles()
+    ), context
+    assert (
+        report.propagation.all_unsat_types() == reference.propagation.all_unsat_types()
+    ), context
+
+
+@pytest.fixture
+def audited_retractions(monkeypatch):
+    """Check every indexed retraction set against a full scan of the store.
+
+    Wraps the engine's retraction step: the keys the dependency index
+    narrowed to must be exactly ``{k for k in store if site_dirty(k)}``.
+    Returns the per-analysis count of retracted keys, so tests can show
+    they exercised every analysis."""
+    retracted = Counter()
+    indexed_dirty_keys = IncrementalEngine._dirty_keys
+
+    def audited(engine, check, scope):
+        indexed = indexed_dirty_keys(engine, check, scope)
+        store = engine._sites[check.pattern_id]
+        full_scan = {
+            key
+            for key in store.findings
+            if check.site_dirty(key, scope, engine.schema)
+        }
+        assert sorted(map(repr, indexed)) == sorted(map(repr, full_scan)), (
+            check.pattern_id
+        )
+        retracted[check.pattern_id] += len(full_scan)
+        return indexed
+
+    monkeypatch.setattr(IncrementalEngine, "_dirty_keys", audited)
+    return retracted
+
+
+class TestDependencyIndex:
+    """The engine indexes stored sites by their dependency tokens and asks
+    ``site_dirty`` only about index hits (contract rule 3 of
+    :mod:`repro.patterns.base`); these properties pin that the narrowing
+    never drops a dirty key."""
+
+    def test_indexed_retraction_equals_full_scan(self, audited_retractions):
+        serials = itertools.count(1)
+        for seed in range(8):
+            rng = random.Random(seed)
+            schema = faulty_schema(seed)
+            engine = settings_engine(schema, EVERYTHING)
+            for step in range(30):
+                for _ in range(rng.choice((1, 1, 2, 3, 6))):
+                    draw = rng.random()
+                    if draw < 0.05:
+                        plant_rare_sites(schema, next(serials))
+                    elif draw < 0.15:
+                        inject_fault(schema, rng.choice(PAPER_PATTERNS), rng)
+                    else:
+                        apply_random_edit(schema, rng)
+                engine.refresh()
+            assert_tool_reports_match(
+                report_from_engine(engine, EVERYTHING),
+                reference_validate(schema, EVERYTHING),
+                f"seed {seed}",
+            )
+        unexercised = [
+            analysis
+            for analysis in EVERY_ANALYSIS
+            if not audited_retractions[analysis]
+        ]
+        assert unexercised == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_resume_after_stored_sites_vanish(self, audited_retractions, seed):
+        """Suspend, remove elements that stored sites name — roles, ring
+        pairs, subtype-loop members — then resume and refresh.  The stored
+        keys must retract through the tokens recorded when they were
+        stored: the head schema no longer has the elements to derive them
+        from."""
+        rng = random.Random(seed)
+        schema = faulty_schema(seed)
+        engine = settings_engine(schema, EVERYTHING)
+        for _ in range(10):
+            apply_random_edit(schema, rng)
+        engine.refresh()
+        snapshot = engine.suspend()
+        del engine
+        stored = {
+            analysis: list(store.findings) for analysis, store in snapshot.sites.items()
+        }
+        removed = 0
+        for key in stored["P9"]:  # subtype-loop members
+            member = sorted(key)[0]
+            if schema.has_object_type(member):
+                schema.remove_object_type(member)
+                removed += 1
+        for key in stored["P8"] + stored["X1"]:  # ring pairs
+            if schema.has_role(key[0]):
+                schema.remove_fact_type(schema.fact_type_of(key[0]).name)
+                removed += 1
+        for analysis in ("P3", "P4", "P5", "P7", "X3", "FR3", "S2"):
+            for label in stored[analysis]:  # roles of constraint sites
+                if schema.has_constraint_label(label):
+                    role = schema.constraint_by_label(label).referenced_roles()[0]
+                    schema.remove_fact_type(schema.fact_type_of(role).name)
+                    removed += 1
+        for _ in range(5):
+            apply_random_edit(schema, rng)
+        assert removed >= 5
+        resumed = IncrementalEngine.resume(schema, snapshot)
+        resumed.refresh()
+        assert_tool_reports_match(
+            report_from_engine(resumed, EVERYTHING),
+            reference_validate(schema, EVERYTHING),
+            f"seed {seed}",
+        )
+        assert sum(audited_retractions.values()) >= removed

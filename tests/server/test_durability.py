@@ -6,6 +6,8 @@ rollback, compaction, and whole-store recovery.
 """
 
 import errno
+import os
+import stat
 
 import pytest
 
@@ -193,3 +195,61 @@ class TestLogStore:
         store.discard("gone")
         assert store.recover().sessions == []
         store.discard("never-existed")  # idempotent
+
+
+class TestDirectoryFsync:
+    """A file's fsync makes its data durable, not the directory entry that
+    names it: every segment or session directory the log creates or
+    unlinks is followed by an fsync of the directory holding it."""
+
+    @pytest.fixture
+    def dir_fsyncs(self, monkeypatch):
+        """Record each fsync of a directory fd as (inode, entries then)."""
+        events = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                events.append((os.fstat(fd).st_ino, sorted(os.listdir(fd))))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        return events
+
+    def test_open_fsyncs_the_new_segment_and_session_entries(self, tmp_path, dir_fsyncs):
+        store = LogStore(tmp_path)
+        log = store.open_log("s")
+        session_dir = log.directory
+        assert (session_dir.stat().st_ino, ["00000001.seg"]) in dir_fsyncs
+        assert (tmp_path.stat().st_ino, [session_dir.name]) in dir_fsyncs
+        log.close()
+        dir_fsyncs.clear()
+        store.open_log("s").close()  # reopening creates nothing
+        assert dir_fsyncs == []
+
+    def test_compact_fsyncs_before_and_after_unlinking(self, tmp_path, dir_fsyncs):
+        log = SessionLog(tmp_path / "dir", "s")
+        log.append(KIND_OPEN, {"session": "s"})
+        dir_fsyncs.clear()
+        log.compact({"session": "s", "schema_dsl": "entity E0."})
+        inode = (tmp_path / "dir").stat().st_ino
+        # The new segment's entry is durable while the old one still exists,
+        # then the unlinks are made durable too.
+        assert dir_fsyncs == [
+            (inode, ["00000001.seg", "00000002.seg"]),
+            (inode, ["00000002.seg"]),
+        ]
+        log.close()
+
+    def test_delete_and_discard_fsync_the_data_dir(self, tmp_path, dir_fsyncs):
+        store = LogStore(tmp_path)
+        closed = store.open_log("closed")
+        dropped = store.open_log("dropped")
+        dropped.close()
+        root = tmp_path.stat().st_ino
+        dir_fsyncs.clear()
+        closed.delete()
+        assert dir_fsyncs == [(root, [dropped.directory.name])]
+        dir_fsyncs.clear()
+        store.discard("dropped")
+        assert dir_fsyncs == [(root, [])]

@@ -131,7 +131,7 @@ class TestBatchedDrainExactness:
         per-session from-scratch reports, through eviction and resume."""
         rng = random.Random(seed)
         with ValidationService(
-            settings=ALL_FAMILIES, max_live_engines=2, max_workers=0, store_shards=4
+            settings=ALL_FAMILIES, max_live_engines=2, max_workers=0
         ) as service:
             handles = [service.open(f"s{i}") for i in range(5)]
             for step in range(80):
@@ -144,6 +144,24 @@ class TestBatchedDrainExactness:
             assert stats.evictions > 0  # the LRU actually worked
             for handle in handles:
                 assert_report_exact(handle, f"seed {seed} session {handle.name}")
+
+    def test_threaded_drains_match_from_scratch(self):
+        """A threaded service drains sessions on its drain pool; a hot and
+        a cold session edited at random stay multiset-equal to
+        from-scratch analysis."""
+        rng = random.Random(7)
+        with ValidationService(settings=ALL_FAMILIES, max_workers=4) as service:
+            hot = service.open("hot")
+            cold = service.open("cold")
+            for step in range(60):
+                apply_random_edit(hot.schema, rng)
+                if step % 3 == 0:
+                    apply_random_edit(cold.schema, rng)
+                if step % 7 == 0:
+                    service.drain()
+            service.drain()
+            assert_report_exact(hot, "hot session, threaded drain")
+            assert_report_exact(cold, "cold session, threaded drain")
 
     def test_drain_skips_clean_sessions(self):
         with ValidationService(max_workers=0) as service:
@@ -211,41 +229,6 @@ class TestEvictionAndResume:
         schema.compact_journal()
         with pytest.raises(SchemaError):
             IncrementalEngine.resume(schema, snapshot)
-
-
-class TestParallelShardRefresh:
-    def test_hot_schema_refresh_fans_out_and_stays_exact(self):
-        """A threaded service fans each draining engine's per-analysis
-        shard refreshes onto the dedicated refresh pool; reports must stay
-        multiset-equal to from-scratch analysis regardless."""
-        rng = random.Random(7)
-        with ValidationService(
-            settings=ALL_FAMILIES, max_workers=4, store_shards=4
-        ) as service:
-            hot = service.open("hot")
-            cold = service.open("cold")
-            for step in range(60):
-                apply_random_edit(hot.schema, rng)
-                if step % 3 == 0:
-                    apply_random_edit(cold.schema, rng)
-                if step % 7 == 0:
-                    service.drain()
-            service.drain()
-            assert_report_exact(hot, "hot session, parallel refresh")
-            assert_report_exact(cold, "cold session, parallel refresh")
-
-    def test_engine_refresh_accepts_an_explicit_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        schema = generate_schema(GeneratorConfig(num_types=5, num_facts=4, seed=3))
-        engine = IncrementalEngine(schema, advisories=True)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for index in range(10):
-                apply_random_edit(schema, random.Random(index))
-                engine.refresh(executor=pool)
-        full = PatternEngine().check(schema)
-        assert Counter(engine.report().violations) == Counter(full.violations)
-        assert Counter(engine.advisories()) == Counter(check_wellformedness(schema))
 
 
 class TestSiteWeightedEviction:

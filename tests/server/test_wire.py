@@ -414,3 +414,69 @@ class TestConstruction:
                 WireServer(service, workers=2)
         with pytest.raises(ValueError):
             WireServer(workers=-1)
+
+
+class TestReportPayloadCache:
+    """A session's reports through a ReportPayloadCache: the same payload,
+    and the same bytes, as the plain from-scratch serialization."""
+
+    SETTINGS = ValidatorSettings(formation_rules=True, propagation=True)
+
+    def _edits(self):
+        yield "add_entity", ("Größe",)
+        yield "add_entity", ("Pool", ["v1", "v2"])
+        for index in range(4):
+            yield "add_entity", (f"T{index}",)
+            yield "add_fact", (f"F{index}", f"a{index}", "Größe", f"b{index}", f"T{index}")
+            yield "add_fact", (f"U{index}", f"u{index}", f"T{index}", f"w{index}", "Pool")
+            yield "add_frequency", (f"u{index}", 5)  # Pattern 4 against the pool
+            yield "add_mandatory", (f"a{index}",)
+        yield "remove_fact", ("U1",)
+        yield "remove_entity", ("T2",)
+        yield "add_entity", ("Late",)
+
+    def test_payload_and_text_match_the_plain_serialization(self):
+        from repro.server.protocol import EncodedPayload, ReportPayloadCache, encode_payload
+
+        cache = ReportPayloadCache()
+        with ValidationService(settings=self.SETTINGS, max_workers=0) as service:
+            service.open("cached")
+            for verb, args in self._edits():
+                service.edit("cached", verb, *args)
+                report = service.report("cached")
+                cached = report_to_payload(report, cache)
+                plain = report_to_payload(report)
+                assert isinstance(cached, EncodedPayload)
+                assert cached == plain
+                assert cached.text == json.dumps(plain)
+                response = {"ok": True, "report": cached, "mark": "m1"}
+                assert encode_payload(response) == json.dumps(response).encode("utf-8")
+            assert plain["violations"] and plain["propagated"]["unsat_roles"]
+
+    def test_an_unrelated_edit_reuses_every_finding_item(self):
+        from repro.server.protocol import ReportPayloadCache
+
+        cache = ReportPayloadCache()
+        with ValidationService(max_workers=0) as service:
+            service.open("reuse")
+            for verb, args in self._edits():
+                service.edit("reuse", verb, *args)
+            before = report_to_payload(service.report("reuse"), cache)
+            service.edit("reuse", "add_entity", "Unrelated")
+            after = report_to_payload(service.report("reuse"), cache)
+        assert before["violations"]
+        assert all(a is b for a, b in zip(after["violations"], before["violations"]))
+        assert len(after["violations"]) == len(before["violations"])
+
+    def test_wire_reports_are_the_plain_bytes(self, server):
+        with ServiceClient(server.base_url) as client:
+            client.open("bytes")
+            for verb, args in self._edits():
+                client.edit("bytes", verb, *args)
+                connection = http.client.HTTPConnection(*server.address, timeout=30)
+                connection.request("POST", "/v1/report", body=json.dumps({"session": "bytes"}))
+                body = connection.getresponse().read()
+                connection.close()
+                decoded = json.loads(body)
+                assert body == json.dumps(decoded).encode("utf-8")
+            client.close("bytes")

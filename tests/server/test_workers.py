@@ -26,7 +26,6 @@ from repro.server.sharding import (
     rendezvous_owner,
     rendezvous_score,
     session_home,
-    stable_shard_index,
 )
 from repro.server.workers import (
     REQUIRED_WORKER_VERBS,
@@ -139,7 +138,6 @@ class TestPlacement:
     def test_session_home_is_rendezvous_placement(self):
         # Placement is rendezvous (HRW) hashing — the argmax over per-worker
         # scores — so resizes relocate only the sessions whose argmax moved.
-        # It must not collide with raw site-key sharding (a separate keyspace).
         assert session_home("x", 8) == rendezvous_owner("x", 8)
         scores = [rendezvous_score(index, "x") for index in range(8)]
         assert session_home("x", 8) == scores.index(max(scores))
